@@ -163,29 +163,9 @@ func (c *lowerCacheObject) Populate(offset, size vm.Offset, access vm.Rights, da
 	}
 }
 
-// DestroyCache implements vm.CacheObject.
-func (c *lowerCacheObject) DestroyCache() {
-	f := c.f
-	f.bmu.Lock()
-	pns := make([]int64, 0, len(f.blocks))
-	for pn := range f.blocks {
-		pns = append(pns, pn)
-	}
-	f.bmu.Unlock()
-	for _, pn := range pns {
-		b := f.acquire(pn)
-		b.epoch++
-		for h := range b.holders {
-			h.Cache.DestroyCache()
-			delete(b.holders, h)
-		}
-		b.valid = false
-		b.dirty = false
-		b.data = nil
-		b.version++
-		f.release(b)
-	}
-}
+// DestroyCache implements vm.CacheObject: the layer below freed the
+// file, so it retires here too (cohFile.retire).
+func (c *lowerCacheObject) DestroyCache() { c.f.retire() }
 
 // FlushAttributes implements fsys.FsCacheObject.
 func (c *lowerCacheObject) FlushAttributes() (fsys.Attributes, bool) {

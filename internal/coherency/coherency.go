@@ -213,6 +213,20 @@ func (c *CohFS) fileFor(lower fsys.File) *cohFile {
 	return f
 }
 
+// forgetFile drops f from the layer's maps if it is still the canonical
+// wrapper of its lower file.
+func (c *CohFS) forgetFile(f *cohFile) {
+	key := fsys.CanonicalKey(f.lower)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.files[f.backing] == f {
+		delete(c.files, f.backing)
+	}
+	if c.byLowerName[key] == f {
+		delete(c.byLowerName, key)
+	}
+}
+
 // dirFor returns the canonical wrapper context for a lower directory.
 func (c *CohFS) dirFor(lower naming.Context) *cohDir {
 	c.mu.Lock()

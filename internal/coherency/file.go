@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"springfs/internal/fsys"
@@ -50,6 +51,7 @@ type cohFile struct {
 	pmu          sync.Mutex
 	lowerPager   vm.PagerObject
 	lowerFsPager fsys.FsPagerObject // non-nil if the lower pager narrowed
+	retired      atomic.Bool        // the lower file is gone (see retire)
 
 	// bmu + bcond guard the block table and the per-block busy flags.
 	bmu    sync.Mutex
@@ -108,6 +110,9 @@ func (r lowerRights) ManagerName() string { return r.name }
 // object for it: the layer establishes itself as a cache manager for the
 // underlying file by issuing a bind operation on it (Section 4.2.1).
 func (f *cohFile) ensureLowerPager() (vm.PagerObject, error) {
+	if f.retired.Load() {
+		return nil, errRetired
+	}
 	f.pmu.Lock()
 	p := f.lowerPager
 	f.pmu.Unlock()
@@ -123,6 +128,35 @@ func (f *cohFile) ensureLowerPager() (vm.PagerObject, error) {
 		return nil, fmt.Errorf("coherency: lower bind established no pager-cache connection")
 	}
 	return f.lowerPager, nil
+}
+
+// errRetired fails every fetch from, and write to, the lower layer once the
+// lower file is gone.
+var errRetired = errors.New("coherency: file was freed by the layer below")
+
+// retire tears the file down after the layer below destroyed its cache:
+// the lower file no longer exists. The file drops its lower pager and its
+// block map (dirty blocks included: they belong to a dead file); it
+// forgets its own connections to the caches above and destroys each in
+// turn, so the teardown propagates up the stack; and the wrapper leaves
+// the layer's maps. Later faults and write-throughs fail in
+// ensureLowerPager, and binds fail too. Nothing is held across the call-outs, and none goes
+// back down: the layer below may be serving this call on a thread of its
+// own domain.
+func (f *cohFile) retire() {
+	f.retired.Store(true)
+	f.pmu.Lock()
+	f.lowerPager, f.lowerFsPager = nil, nil
+	f.pmu.Unlock()
+
+	f.bmu.Lock()
+	f.blocks = make(map[int64]*blockState)
+	f.bmu.Unlock()
+
+	for _, conn := range f.fs.table.Forget(f.backing) {
+		conn.Cache.DestroyCache()
+	}
+	f.fs.forgetFile(f)
 }
 
 // lowerAttrs fetches attributes from the lower layer, preferring the
@@ -477,9 +511,20 @@ func (f *cohFile) flushAll() error {
 // its files, so binds terminate here (unlike DFS, which forwards local
 // binds).
 func (f *cohFile) Bind(caller vm.CacheManager, access vm.Rights, offset, length vm.Offset) (vm.CacheRights, error) {
+	if f.retired.Load() {
+		return nil, errRetired
+	}
 	rights, _, _ := f.fs.table.Bind(caller, f.backing, func() vm.PagerObject {
 		return &cohPager{file: f}
 	})
+	if f.retired.Load() {
+		// Retired while the bind ran, maybe after retire forgot the
+		// file's connections: tear down what this bind left behind.
+		for _, conn := range f.fs.table.Forget(f.backing) {
+			conn.Cache.DestroyCache()
+		}
+		return nil, errRetired
+	}
 	return rights, nil
 }
 
@@ -505,6 +550,9 @@ func (f *cohFile) pollUpperAttrs() {
 // manager above (except the source of a change) so their next stat
 // refetches.
 func (f *cohFile) invalidateUpperAttrs(except *fsys.Connection) {
+	if !f.fs.table.HasFsCache(f.backing) {
+		return
+	}
 	for _, conn := range f.fs.table.ConnectionsFor(f.backing) {
 		if conn == except || conn.FsCache == nil {
 			continue
@@ -656,6 +704,13 @@ func (f *cohFile) Sync() error {
 type cohPager struct {
 	file *cohFile
 	conn *fsys.Connection
+
+	// The connection's stream detector for hinted faults (see prefetch):
+	// raNext is where the next fault lands if the access is sequential,
+	// raLast how many bytes the previous fault was served.
+	raMu   sync.Mutex
+	raNext vm.Offset
+	raLast vm.Offset
 }
 
 var (
@@ -684,77 +739,91 @@ func (p *cohPager) PageIn(offset, size vm.Offset, access vm.Rights) ([]byte, err
 }
 
 // PageInHint implements vm.HintedPager (the Section 8 read-ahead
-// extension): the pager may return more data than strictly needed. The
-// coherency layer forwards the (minSize, maxSize) hint range to the
-// layer below — whose sequential-stream detector decides how far ahead
-// to actually read — installs whatever came back in one clustered
-// transfer, and serves that much to the caller.
+// extension): the pager may return more data than strictly needed. How
+// much is decided by prefetch; the caller is served that many bytes.
 func (p *cohPager) PageInHint(offset, minSize, maxSize vm.Offset, access vm.Rights) ([]byte, error) {
 	length, err := p.file.lengthNoPoll()
 	if err != nil {
 		return nil, err
 	}
+	// Neither bound reaches past the end of file (an explicit cluster
+	// asks for minSize == maxSize), but the faulting page is always served.
 	end := vm.RoundUp(length)
-	if offset+maxSize > end {
-		maxSize = end - offset
-	}
-	if maxSize < minSize {
-		maxSize = minSize
-	}
-	size := p.file.prefetch(offset, minSize, maxSize, access)
+	minSize = min(minSize, max(vm.PageSize, end-offset))
+	maxSize = max(min(maxSize, end-offset), minSize)
+	size := p.prefetch(offset, minSize, maxSize, access)
 	return p.PageIn(offset, size, access)
 }
 
-// prefetch pulls the invalid blocks of [offset, offset+maxSize) from the
-// lower layer in one bulk transfer and installs them, validating each
-// block's epoch so a revocation that lands mid-flight discards the stale
-// copy (the per-block protocol then refetches it). It returns how many
-// bytes (at least minSize) the caller should serve: the full window when
-// every block is already cached, what the lower layer actually granted
-// when it was consulted, and just minSize on any error (the normal
-// single-block path takes over).
-func (f *cohFile) prefetch(offset, minSize, maxSize vm.Offset, access vm.Rights) vm.Offset {
-	first, last := vm.PageRange(offset, maxSize)
-	n := last - first + 1
-	if n <= 1 {
-		return minSize
+// window runs the connection's stream detector for a hinted fault and
+// returns how many bytes it should be served if the blocks are cached: a
+// fault where the previous one ended doubles the previous grant, any
+// other fault gets minSize. It does not record the fault (see served).
+func (p *cohPager) window(offset, minSize, maxSize vm.Offset) vm.Offset {
+	p.raMu.Lock()
+	defer p.raMu.Unlock()
+	size := minSize
+	if offset == p.raNext {
+		size = 2 * p.raLast
+	}
+	return min(max(size, minSize), maxSize)
+}
+
+// served records that the fault at offset was served size bytes.
+func (p *cohPager) served(offset, size vm.Offset) vm.Offset {
+	p.raMu.Lock()
+	p.raNext, p.raLast = offset+size, size
+	p.raMu.Unlock()
+	return size
+}
+
+// prefetch decides how many bytes (at least minSize, at most maxSize) a
+// hinted fault at offset is served, pulling missing blocks from the lower
+// layer in one bulk transfer. The connection's stream detector (window)
+// sizes the fault: a random fault is served minSize — however much of
+// the file this layer has cached, handing a cached window to a random
+// reader would only flood its bounded cache — while a sequential stream
+// ramps up to maxSize. When a block of that window is missing, the lower
+// layer is asked for the whole (minSize, maxSize) range, its own
+// sequential-stream detector decides how far ahead to actually read, and
+// the fault is served what it granted. Installs validate each block's
+// epoch, so a revocation that lands mid-flight discards the stale copy
+// (the per-block protocol then refetches it). Any error falls back to
+// minSize and the normal single-block path.
+func (p *cohPager) prefetch(offset, minSize, maxSize vm.Offset, access vm.Rights) vm.Offset {
+	f := p.file
+	want := p.window(offset, minSize, maxSize)
+	first, last := vm.PageRange(offset, want)
+	if last == first {
+		return p.served(offset, want)
 	}
 	// Snapshot epochs and validity without holding any block across the
-	// downward call.
-	epochs := make([]uint64, n)
-	missing := false
-	for pn := first; pn <= last; pn++ {
-		b := f.acquire(pn)
-		epochs[pn-first] = b.epoch
-		if !b.valid {
-			missing = true
-		}
-		f.release(b)
-	}
+	// downward call. The lower layer may grant up to maxSize, so once a
+	// fetch is due the rest of that range is snapshotted too.
+	epochs, missing := f.snapshotEpochs(first, last, nil)
 	if !missing {
-		return maxSize
+		return p.served(offset, want)
 	}
+	_, lastMax := vm.PageRange(offset, maxSize)
+	epochs, _ = f.snapshotEpochs(last+1, lastMax, epochs)
 	pager, err := f.ensureLowerPager()
 	if err != nil {
-		return minSize
+		return p.served(offset, minSize)
 	}
 	var bulk []byte
 	t := opPageIn.Start()
 	if hp, ok := spring.Narrow[vm.HintedPager](pager); ok {
-		bulk, err = hp.PageInHint(first*BlockSize, minSize, maxSize, access)
+		bulk, err = hp.PageInHint(offset, minSize, maxSize, access)
 	} else {
-		bulk, err = pager.PageIn(first*BlockSize, minSize, access)
+		bulk, err = pager.PageIn(offset, minSize, access)
 	}
 	if err != nil || vm.Offset(len(bulk)) < minSize {
-		return minSize
+		return p.served(offset, minSize)
 	}
 	opPageIn.End(t, int64(len(bulk)))
 	f.fs.LowerPageIns.Inc()
-	got := vm.Offset(len(bulk)) - vm.Offset(len(bulk))%BlockSize
-	if got > maxSize {
-		got = maxSize
-	}
-	for pn := first; pn*BlockSize < first*BlockSize+got; pn++ {
+	got := min(vm.Offset(len(bulk))-vm.Offset(len(bulk))%BlockSize, maxSize)
+	for pn := first; pn*BlockSize < offset+got; pn++ {
 		b := f.acquire(pn)
 		if !b.valid && b.epoch == epochs[pn-first] {
 			b.data = make([]byte, BlockSize)
@@ -765,10 +834,20 @@ func (f *cohFile) prefetch(offset, minSize, maxSize vm.Offset, access vm.Rights)
 		}
 		f.release(b)
 	}
-	if got < minSize {
-		got = minSize
+	return p.served(offset, max(got, minSize))
+}
+
+// snapshotEpochs appends the epochs of blocks [from, to] to epochs and
+// reports whether any of them is invalid.
+func (f *cohFile) snapshotEpochs(from, to int64, epochs []uint64) ([]uint64, bool) {
+	missing := false
+	for pn := from; pn <= to; pn++ {
+		b := f.acquire(pn)
+		epochs = append(epochs, b.epoch)
+		missing = missing || !b.valid
+		f.release(b)
 	}
-	return got
+	return epochs, missing
 }
 
 // PageOut implements vm.PagerObject: the caller no longer retains the

@@ -321,10 +321,10 @@ func (c *srvClient) handle(op Op, payload []byte) ([]byte, error) {
 			return nil, err
 		}
 		var data []byte
-		if hp, ok := pager.(vm.HintedPager); ok && maxSize > size {
-			// The client conveyed a min/max range (the Section 8
-			// read-ahead extension carried over the wire); the home node
-			// may return more data than strictly needed.
+		if hp, ok := pager.(vm.HintedPager); ok && maxSize > vm.PageSize {
+			// The client conveyed a min/max range or an explicit cluster
+			// (the Section 8 read-ahead extension carried over the wire);
+			// the home node may return more data than strictly needed.
 			data, err = hp.PageInHint(off, size, maxSize, access)
 		} else {
 			data, err = pager.PageIn(off, size, access)

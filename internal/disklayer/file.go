@@ -23,6 +23,12 @@ type diskFile struct {
 	ino uint64
 	io  *fsys.MappedIO
 
+	// backing keys the file's pager-cache connections in fs.table. It is
+	// unique to this object, never reused as inode numbers are, so a bind
+	// that races the file's freeing cannot leave a connection that a later
+	// file at the same inode number would find.
+	backing uint64
+
 	// refs counts open handles (fsys.Retain/Release), guarded by fs.mu.
 	// A file unlinked while refs > 0 is orphaned rather than freed; the
 	// last Release reclaims it.
@@ -35,6 +41,22 @@ type diskFile struct {
 	// dead page-ins past the new EOF and misattribute the speculation to
 	// the hit/wasted counters.
 	truncGen atomic.Uint64
+
+	// freed is set (under fs.mu) when the inode goes back to the pool. A
+	// stale pager can outlive it — a write-through already on its way
+	// down, say — and the inode number may already belong to a new file,
+	// so its page-ins fail and its page-outs are discarded.
+	freed atomic.Bool
+}
+
+// inodeLocked returns the file's cached inode, or ErrBadInode once the file
+// was freed: its inode number may already belong to a new file. Caller
+// holds fs.mu.
+func (f *diskFile) inodeLocked() (*cachedInode, error) {
+	if f.freed.Load() {
+		return nil, ErrBadInode
+	}
+	return f.fs.readInode(f.ino)
 }
 
 var (
@@ -53,11 +75,21 @@ func (f *diskFile) WrapForChannel(ch *spring.Channel) naming.Object {
 }
 
 // Bind implements vm.MemoryObject: establish or reuse the pager-cache
-// connection between this file's pager and the calling cache manager.
+// connection between this file's pager and the calling cache manager. A
+// freed file refuses.
 func (f *diskFile) Bind(caller vm.CacheManager, access vm.Rights, offset, length vm.Offset) (vm.CacheRights, error) {
-	rights, _, _ := f.fs.table.Bind(caller, f.ino, func() vm.PagerObject {
+	if f.freed.Load() {
+		return nil, ErrBadInode
+	}
+	rights, _, _ := f.fs.table.Bind(caller, f.backing, func() vm.PagerObject {
 		return &diskPager{file: f}
 	})
+	if f.freed.Load() {
+		// Freed while the bind ran, maybe after retireLocked forgot the
+		// file's connections: tear down what this bind left behind.
+		destroyConnections(f.fs.table.Forget(f.backing))
+		return nil, ErrBadInode
+	}
 	return rights, nil
 }
 
@@ -65,7 +97,7 @@ func (f *diskFile) Bind(caller vm.CacheManager, access vm.Rights, offset, length
 func (f *diskFile) GetLength() (vm.Offset, error) {
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
-	ci, err := f.fs.readInode(f.ino)
+	ci, err := f.inodeLocked()
 	if err != nil {
 		return 0, err
 	}
@@ -89,12 +121,12 @@ func (f *diskFile) SetLength(length vm.Offset) error {
 	shrunk := false
 	defer func() {
 		if shrunk {
-			f.fs.purgeCachedPages(f.ino, vm.RoundUp(length))
+			f.fs.purgeCachedPages(f.backing, vm.RoundUp(length))
 		}
 	}()
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
-	ci, err := f.fs.readInode(f.ino)
+	ci, err := f.inodeLocked()
 	if err != nil {
 		return err
 	}
@@ -130,11 +162,11 @@ func (f *diskFile) zeroTail(length vm.Offset) error {
 	}
 	blockOff := length - tail
 	var flushed []vm.Data
-	for _, c := range f.fs.table.ConnectionsFor(f.ino) {
+	for _, c := range f.fs.table.ConnectionsFor(f.backing) {
 		flushed = append(flushed, c.Cache.FlushBack(blockOff, BlockSize)...)
 	}
 	f.fs.mu.Lock()
-	ci, err := f.fs.readInode(f.ino)
+	ci, err := f.inodeLocked()
 	if err != nil {
 		f.fs.mu.Unlock()
 		return err
@@ -192,7 +224,7 @@ func (f *diskFile) WriteAt(p []byte, off int64) (int, error) {
 func (f *diskFile) touch(modified bool) {
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
-	ci, err := f.fs.readInode(f.ino)
+	ci, err := f.inodeLocked()
 	if err != nil {
 		return
 	}
@@ -213,7 +245,7 @@ func (f *diskFile) touch(modified bool) {
 // proceeds outside the lock at the reserved offset.
 func (f *diskFile) Append(p []byte) (int64, int, error) {
 	f.fs.mu.Lock()
-	ci, err := f.fs.readInode(f.ino)
+	ci, err := f.inodeLocked()
 	if err != nil {
 		f.fs.mu.Unlock()
 		return 0, 0, err
@@ -245,36 +277,34 @@ func (f *diskFile) Retain() {
 // and blocks in a journal transaction of its own. A crash before that
 // transaction commits leaves the orphan for Mount's sweep.
 func (f *diskFile) Release() error {
-	freed := false
-	defer func() {
-		if freed {
-			f.fs.purgeCachedPages(f.ino, 0)
-		}
-	}()
+	var retired []*fsys.Connection
+	defer func() { destroyConnections(retired) }()
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
 	if f.refs > 0 {
 		f.refs--
 	}
-	if f.refs > 0 || f.fs.closed {
+	if f.refs > 0 || f.fs.closed || f.freed.Load() {
 		return nil
 	}
-	ci, err := f.fs.readInode(f.ino)
+	ci, err := f.inodeLocked()
 	if err != nil {
 		return err
 	}
 	if ci.in.mode != ModeFile || ci.in.nlink > 0 {
 		return nil
 	}
-	err = f.fs.withTxn(func() error {
-		return f.fs.freeInode(f.ino)
-	})
-	delete(f.fs.files, f.ino)
-	freed = err == nil
-	if freed {
+	// Retire inside the transaction, as dropLinkLocked does: the commit
+	// releases fs.mu around the journal wait, and by then a Create may
+	// reallocate the inode number.
+	return f.fs.withTxn(func() error {
+		if err := f.fs.freeInode(f.ino); err != nil {
+			return err
+		}
 		f.truncGen.Add(1)
-	}
-	return err
+		retired = f.fs.retireLocked(f.ino)
+		return nil
+	})
 }
 
 // Stat implements fsys.File. It is served from the i-node cache without
@@ -284,7 +314,7 @@ func (f *diskFile) Stat() (fsys.Attributes, error) {
 	defer opStat.End(t, 0)
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
-	ci, err := f.fs.readInode(f.ino)
+	ci, err := f.inodeLocked()
 	if err != nil {
 		return fsys.Attributes{}, err
 	}
@@ -306,7 +336,7 @@ func (f *diskFile) Sync() error {
 	}
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
-	ci, err := f.fs.readInode(f.ino)
+	ci, err := f.inodeLocked()
 	if err != nil {
 		return err
 	}
@@ -372,7 +402,7 @@ func (p *diskPager) PageIn(offset, size vm.Offset, access vm.Rights) ([]byte, er
 	fs := p.file.fs
 	out := make([]byte, size)
 	fs.mu.Lock()
-	ci, err := fs.readInode(p.file.ino)
+	ci, err := p.file.inodeLocked()
 	if err != nil {
 		fs.mu.Unlock()
 		return nil, err
@@ -423,13 +453,17 @@ func (p *diskPager) PageIn(offset, size vm.Offset, access vm.Rights) ([]byte, er
 
 // PageInHint implements vm.HintedPager: return minSize plus however much
 // speculative sequential data the stream detector currently trusts, capped
-// at maxSize and the end of file rounded up.
+// at maxSize and the end of file rounded up. minSize is capped at the end
+// of file too (an explicit cluster asks for minSize == maxSize), but the
+// faulting page is always served.
 func (p *diskPager) PageInHint(offset, minSize, maxSize vm.Offset, access vm.Rights) ([]byte, error) {
 	length, err := p.file.GetLength()
 	if err != nil {
 		return nil, err
 	}
-	size := p.streamWindow(offset, minSize, maxSize, vm.RoundUp(length))
+	end := vm.RoundUp(length)
+	minSize = min(minSize, max(vm.PageSize, end-offset))
+	size := p.streamWindow(offset, minSize, maxSize, end)
 	return p.PageIn(offset, size, access)
 }
 
@@ -516,7 +550,7 @@ func (p *diskPager) PageOut(offset, size vm.Offset, data []byte) error {
 		fs.mu.Unlock()
 		return err
 	}
-	if ci.in.mode != ModeFile {
+	if ci.in.mode != ModeFile || p.file.freed.Load() {
 		// The file was unlinked and reclaimed while a cache above still held
 		// dirty pages; its data is discardable, and allocating blocks into a
 		// freed (or since-reused) inode would corrupt the file system.
@@ -580,7 +614,7 @@ func (p *diskPager) PageOut(offset, size vm.Offset, data []byte) error {
 	if err != nil {
 		return err
 	}
-	if ci.in.mode != ModeFile {
+	if ci.in.mode != ModeFile || p.file.freed.Load() {
 		return nil
 	}
 	ci.in.mtime = fs.now()
@@ -618,12 +652,12 @@ func (p *diskPager) SetAttributes(attrs fsys.Attributes) error {
 	shrunk := false
 	defer func() {
 		if shrunk {
-			fs.purgeCachedPages(p.file.ino, vm.RoundUp(attrs.Length))
+			fs.purgeCachedPages(p.file.backing, vm.RoundUp(attrs.Length))
 		}
 	}()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	ci, err := fs.readInode(p.file.ino)
+	ci, err := p.file.inodeLocked()
 	if err != nil {
 		return err
 	}

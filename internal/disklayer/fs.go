@@ -52,8 +52,11 @@ type DiskFS struct {
 	mcache    map[int64][]int64 // indirect (pointer) blocks
 	files     map[uint64]*diskFile
 	dirs      map[uint64]*diskDir
-	zero      []byte
-	closed    bool
+	// nextBacking numbers file objects for the connection table (see
+	// diskFile.backing).
+	nextBacking uint64
+	zero        []byte
+	closed      bool
 }
 
 var (
@@ -295,12 +298,8 @@ func (fs *DiskFS) Open(name string, cred naming.Credentials) (fsys.File, error) 
 
 // Remove implements fsys.FS.
 func (fs *DiskFS) Remove(name string, cred naming.Credentials) error {
-	var freedIno uint64
-	defer func() {
-		if freedIno != 0 {
-			fs.purgeCachedPages(freedIno, 0)
-		}
-	}()
+	var retired []*fsys.Connection
+	defer func() { destroyConnections(retired) }()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if fs.closed {
@@ -331,10 +330,7 @@ func (fs *DiskFS) Remove(name string, cred naming.Credentials) error {
 		if _, err := fs.dirRemove(dirIno, last); err != nil {
 			return err
 		}
-		freed, err := fs.dropLinkLocked(ino)
-		if freed {
-			freedIno = ino
-		}
+		retired, err = fs.dropLinkLocked(ino)
 		return err
 	})
 }
@@ -346,51 +342,71 @@ func (fs *DiskFS) Remove(name string, cred naming.Credentials) error {
 // handles keep working; the last Release reclaims it, and Mount's orphan
 // sweep covers a crash in between. Caller holds fs.mu inside a transaction.
 //
-// freed reports whether the inode went back to the pool; the caller must
-// then purge its cached pages (purgeCachedPages) after releasing fs.mu, or
-// a reallocation of the inode number would resurrect the dead file's data.
-func (fs *DiskFS) dropLinkLocked(ino uint64) (freed bool, err error) {
+// When the inode goes back to the pool, its pager-cache connections are
+// returned (see retireLocked); the caller must destroy them
+// (destroyConnections) after releasing fs.mu.
+func (fs *DiskFS) dropLinkLocked(ino uint64) (retired []*fsys.Connection, err error) {
 	ci, err := fs.readInode(ino)
 	if err != nil {
-		return false, err
+		return nil, err
 	}
 	if ci.in.nlink > 1 {
 		ci.in.nlink--
 		ci.dirty = true
 		fs.txnRegister(ci)
-		return false, nil
+		return nil, nil
 	}
 	if f, ok := fs.files[ino]; ok && f.refs > 0 && ci.in.mode == ModeFile {
 		ci.in.nlink = 0
 		ci.dirty = true
 		fs.txnRegister(ci)
-		return false, nil
+		return nil, nil
 	}
 	if err := fs.freeInode(ino); err != nil {
-		return false, err
+		return nil, err
 	}
-	delete(fs.files, ino)
+	return fs.retireLocked(ino), nil
+}
+
+// retireLocked forgets a freed inode: its file object stops serving I/O
+// and binds (freed) and leaves the canonical-object maps, and every
+// pager-cache connection bound for it comes out of the table. This must
+// happen under fs.mu, before the inode number can be reallocated: a Create
+// that reuses the number then gets a new file object with its own
+// connection key, so tearing the old connections down cannot touch the new
+// file's cached pages. The caller passes the result to destroyConnections
+// once fs.mu is released.
+func (fs *DiskFS) retireLocked(ino uint64) []*fsys.Connection {
 	delete(fs.dirs, ino)
-	return true, nil
+	f, ok := fs.files[ino]
+	if !ok {
+		return nil // never opened as a file, so never bound
+	}
+	f.freed.Store(true)
+	delete(fs.files, ino)
+	return fs.table.Forget(f.backing)
+}
+
+// destroyConnections tears down the connections of a freed inode: each
+// cache manager discards what it cached for the dead file (DestroyCache).
+// It must be called WITHOUT fs.mu held: the cache calls cross domains and
+// can contend with an in-flight page-out that is itself waiting on fs.mu.
+func destroyConnections(conns []*fsys.Connection) {
+	for _, c := range conns {
+		c.Cache.DestroyCache()
+	}
 }
 
 // purgeExtent covers any possible file offset; DeleteRange bounds it to the
 // pages actually cached.
 const purgeExtent = vm.Offset(1) << 56
 
-// purgeCachedPages discards every page any cache manager holds for ino at
-// or past from. It must be called WITHOUT fs.mu held: the cache calls cross
-// domains and can contend with an in-flight page-out that is itself waiting
-// on fs.mu.
-//
-// Connections in fs.table are keyed by inode number and outlive the files
-// they were bound for, so when an inode is freed (unlink, rename-over,
-// last-close reclaim) its cached pages must be dropped here — otherwise a
-// later file allocated at the same inode number would read the dead file's
-// data out of the VMM. Truncation purges the vacated tail for the same
-// reason.
-func (fs *DiskFS) purgeCachedPages(ino uint64, from vm.Offset) {
-	for _, c := range fs.table.ConnectionsFor(ino) {
+// purgeCachedPages discards every page any cache manager holds for the
+// file with connection key backing at or past from: a shrink frees the vacated blocks, and a later extension
+// must read zeros there, not the old data still cached above. It must be
+// called WITHOUT fs.mu held, for the same reason as destroyConnections.
+func (fs *DiskFS) purgeCachedPages(backing uint64, from vm.Offset) {
+	for _, c := range fs.table.ConnectionsFor(backing) {
 		c.Cache.DeleteRange(from, purgeExtent-from)
 	}
 }
@@ -400,12 +416,8 @@ func (fs *DiskFS) purgeCachedPages(ino uint64, from vm.Offset) {
 // exactly like Remove would — so the whole rename (including the implicit
 // unlink of the destination) is atomic across a crash.
 func (fs *DiskFS) Rename(oldname, newname string, cred naming.Credentials) error {
-	var freedIno uint64
-	defer func() {
-		if freedIno != 0 {
-			fs.purgeCachedPages(freedIno, 0)
-		}
-	}()
+	var retired []*fsys.Connection
+	defer func() { destroyConnections(retired) }()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if fs.closed {
@@ -473,12 +485,9 @@ func (fs *DiskFS) Rename(oldname, newname string, cred naming.Credentials) error
 			if _, err := fs.dirRemove(ndIno, nLast); err != nil {
 				return err
 			}
-			freed, err := fs.dropLinkLocked(dstIno)
+			retired, err = fs.dropLinkLocked(dstIno)
 			if err != nil {
 				return err
-			}
-			if freed {
-				freedIno = dstIno
 			}
 		}
 		if _, err := fs.dirRemove(odIno, oLast); err != nil {
@@ -573,7 +582,8 @@ func (fs *DiskFS) fileForLocked(ino uint64) *diskFile {
 	if f, ok := fs.files[ino]; ok {
 		return f
 	}
-	f := &diskFile{fs: fs, ino: ino}
+	fs.nextBacking++
+	f := &diskFile{fs: fs, ino: ino, backing: fs.nextBacking}
 	f.io = fsys.NewMappedIO(fs.vmm, f)
 	fs.files[ino] = f
 	return f
@@ -685,7 +695,7 @@ func (d *diskDir) Bind(name string, obj naming.Object, cred naming.Credentials) 
 			if len(parts) != 1 {
 				return naming.ErrBadName
 			}
-			ci, err := d.fs.readInode(f.ino)
+			ci, err := f.inodeLocked()
 			if err != nil {
 				return err
 			}
@@ -704,12 +714,8 @@ func (d *diskDir) Bind(name string, obj naming.Object, cred naming.Credentials) 
 // Unbind implements naming.Context: it removes the entry and frees the
 // inode when the last link goes away.
 func (d *diskDir) Unbind(name string, cred naming.Credentials) error {
-	var freedIno uint64
-	defer func() {
-		if freedIno != 0 {
-			d.fs.purgeCachedPages(freedIno, 0)
-		}
-	}()
+	var retired []*fsys.Connection
+	defer func() { destroyConnections(retired) }()
 	d.fs.mu.Lock()
 	defer d.fs.mu.Unlock()
 	return d.fs.withTxn(func() error {
@@ -740,10 +746,7 @@ func (d *diskDir) Unbind(name string, cred naming.Credentials) error {
 		if _, err := d.fs.dirRemove(d.ino, parts[0]); err != nil {
 			return err
 		}
-		freed, err := d.fs.dropLinkLocked(ino)
-		if freed {
-			freedIno = ino
-		}
+		retired, err = d.fs.dropLinkLocked(ino)
 		return err
 	})
 }

@@ -1,6 +1,7 @@
 package fsys
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -119,32 +120,49 @@ type ConnectionAware interface {
 	AttachConnection(c *Connection)
 }
 
-// connKey identifies a connection: one per (cache manager, backing file).
-type connKey struct {
-	manager vm.CacheManager
-	backing uint64
-}
-
 // ConnectionTable implements the pager side of the bind protocol (Section
 // 3.3.2): when a bind operation arrives, the pager must determine whether
 // there is already a pager-cache connection for the memory object at the
 // given cache manager. If not, the pager and the manager exchange pager,
 // cache, and cache-rights objects; either way the appropriate cache-rights
 // object is returned to the binder.
+//
+// Connections are indexed by backing file, so every lookup, removal, and
+// Forget costs O(connections of that file), not O(files ever bound). The
+// per-file slices are copy-on-write: ConnectionsFor hands out the stored
+// slice without copying, and no one mutates it afterwards.
 type ConnectionTable struct {
 	domain *spring.Domain // the pager's domain
 
 	mu    sync.Mutex
-	conns map[connKey]*Connection
+	conns map[uint64]backingConns
 
-	// fsCacheConns counts connections whose manager is an fs_cache, so
-	// the attribute-coherency fast path is a single atomic load.
-	fsCacheConns atomic.Int32
+	// fsCaches counts the table's connections whose manager is an
+	// fs_cache, so HasFsCache answers a pager served only by plain cache
+	// managers (VMMs) with one atomic load.
+	fsCaches atomic.Int32
+}
+
+// backingConns is one backing file's entry in a ConnectionTable.
+type backingConns struct {
+	conns    []*Connection // one per manager; copy-on-write
+	fsCaches int           // how many of conns narrowed to fs_cache
 }
 
 // NewConnectionTable creates a table for a pager served by domain.
 func NewConnectionTable(domain *spring.Domain) *ConnectionTable {
-	return &ConnectionTable{domain: domain, conns: make(map[connKey]*Connection)}
+	return &ConnectionTable{domain: domain, conns: make(map[uint64]backingConns)}
+}
+
+// lookupLocked returns the connection for (manager, backing), or nil.
+// Caller holds t.mu.
+func (t *ConnectionTable) lookupLocked(manager vm.CacheManager, backing uint64) *Connection {
+	for _, c := range t.conns[backing].conns {
+		if c.Manager == manager {
+			return c
+		}
+	}
+	return nil
 }
 
 // Bind returns the cache-rights for (manager, backing), performing the
@@ -154,8 +172,7 @@ func NewConnectionTable(domain *spring.Domain) *ConnectionTable {
 // created.
 func (t *ConnectionTable) Bind(manager vm.CacheManager, backing uint64, mkPager func() vm.PagerObject) (vm.CacheRights, *Connection, bool) {
 	t.mu.Lock()
-	key := connKey{manager: manager, backing: backing}
-	if c, ok := t.conns[key]; ok {
+	if c := t.lookupLocked(manager, backing); c != nil {
 		t.mu.Unlock()
 		return c.Rights, c, false
 	}
@@ -186,30 +203,27 @@ func (t *ConnectionTable) Bind(manager vm.CacheManager, backing uint64, mkPager 
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if existing, ok := t.conns[key]; ok {
+	if existing := t.lookupLocked(manager, backing); existing != nil {
 		// Lost a bind race; use the established connection.
 		return existing.Rights, existing, false
 	}
-	t.conns[key] = c
+	e := t.conns[backing]
+	e.conns = append(e.conns[:len(e.conns):len(e.conns)], c)
 	if c.FsCache != nil {
-		t.fsCacheConns.Add(1)
+		e.fsCaches++
+		t.fsCaches.Add(1)
 	}
+	t.conns[backing] = e
 	return c.Rights, c, true
 }
 
 // ConnectionsFor returns all connections for a backing file. Pagers
 // iterate these to perform coherency actions against every cache manager
-// caching the file.
+// caching the file. The slice is shared: callers must not modify it.
 func (t *ConnectionTable) ConnectionsFor(backing uint64) []*Connection {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var out []*Connection
-	for k, c := range t.conns {
-		if k.backing == backing {
-			out = append(out, c)
-		}
-	}
-	return out
+	return t.conns[backing].conns
 }
 
 // HasFsCache reports whether any connection for backing belongs to an
@@ -217,17 +231,12 @@ func (t *ConnectionTable) ConnectionsFor(backing uint64) []*Connection {
 // managers (VMMs) are attached there is nobody to run the attribute
 // coherency protocol with.
 func (t *ConnectionTable) HasFsCache(backing uint64) bool {
-	if t.fsCacheConns.Load() == 0 {
+	if t.fsCaches.Load() == 0 {
 		return false
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for k, c := range t.conns {
-		if k.backing == backing && c.FsCache != nil {
-			return true
-		}
-	}
-	return false
+	return t.conns[backing].fsCaches > 0
 }
 
 // Remove drops the connection for (manager, backing), returning it if it
@@ -235,20 +244,49 @@ func (t *ConnectionTable) HasFsCache(backing uint64) bool {
 func (t *ConnectionTable) Remove(manager vm.CacheManager, backing uint64) *Connection {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	key := connKey{manager: manager, backing: backing}
-	c := t.conns[key]
-	delete(t.conns, key)
-	if c != nil && c.FsCache != nil {
-		t.fsCacheConns.Add(-1)
+	e := t.conns[backing]
+	i := slices.IndexFunc(e.conns, func(c *Connection) bool { return c.Manager == manager })
+	if i < 0 {
+		return nil
+	}
+	c := e.conns[i]
+	if c.FsCache != nil {
+		e.fsCaches--
+		t.fsCaches.Add(-1)
+	}
+	if len(e.conns) == 1 {
+		delete(t.conns, backing)
+	} else {
+		e.conns = slices.Delete(slices.Clone(e.conns), i, i+1)
+		t.conns[backing] = e
 	}
 	return c
+}
+
+// Forget drops every connection for backing and returns them. A pager
+// calls it when the backing file ceases to exist, then tears each
+// returned connection down with DestroyCache — the pager's end of a
+// connection, as DoneWithPagerObject (Remove) is the cache manager's.
+// Forgetting before the backing identifier can be reused keeps a new
+// file's binds from ever finding the dead file's connections.
+func (t *ConnectionTable) Forget(backing uint64) []*Connection {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	e := t.conns[backing]
+	delete(t.conns, backing)
+	t.fsCaches.Add(int32(-e.fsCaches))
+	return e.conns
 }
 
 // Len returns the number of established connections.
 func (t *ConnectionTable) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.conns)
+	n := 0
+	for _, e := range t.conns {
+		n += len(e.conns)
+	}
+	return n
 }
 
 // Domain returns the pager's domain.

@@ -190,6 +190,61 @@ func TestConnectionTableBindReuse(t *testing.T) {
 	}
 }
 
+// TestConnectionTableForget: Forget takes every connection of one backing
+// file out of the table and leaves other files' connections alone; a
+// later bind for the same backing makes a fresh connection. HasFsCache
+// follows Bind, Remove and Forget per backing file.
+func TestConnectionTableForget(t *testing.T) {
+	node := spring.NewNode("n")
+	defer node.Stop()
+	table := NewConnectionTable(spring.NewDomain(node, "pager"))
+	mgrDomain := spring.NewDomain(node, "mgr")
+	m1 := &fakeManager{name: "m1", domain: mgrDomain}
+	m2 := &fakeManager{name: "m2", domain: mgrDomain}
+	mk := func() vm.PagerObject { return &fakeFsPager{} }
+	_, a1, _ := table.Bind(m1, 7, mk)
+	_, a2, _ := table.Bind(m2, 7, mk)
+	_, b1, _ := table.Bind(m1, 8, mk)
+
+	got := table.ConnectionsFor(7)
+	if len(got) != 2 {
+		t.Fatalf("ConnectionsFor(7) = %d connections, want 2", len(got))
+	}
+	if !table.HasFsCache(7) || !table.HasFsCache(8) || table.HasFsCache(9) {
+		t.Error("HasFsCache does not match the fs_cache binds")
+	}
+	// Removing one manager leaves the slice handed out above intact.
+	if rm := table.Remove(m1, 7); rm != a1 {
+		t.Error("Remove returned wrong connection")
+	}
+	if got[0] != a1 || got[1] != a2 {
+		t.Error("Remove modified a slice ConnectionsFor had returned")
+	}
+	forgot := table.Forget(7)
+	if len(forgot) != 1 || forgot[0] != a2 {
+		t.Errorf("Forget(7) = %v, want [m2's connection]", forgot)
+	}
+	if table.Len() != 1 || len(table.ConnectionsFor(7)) != 0 {
+		t.Errorf("after Forget(7): %d connections, %d for 7", table.Len(), len(table.ConnectionsFor(7)))
+	}
+	if got := table.ConnectionsFor(8); len(got) != 1 || got[0] != b1 {
+		t.Error("Forget(7) touched backing 8")
+	}
+	if table.HasFsCache(7) || !table.HasFsCache(8) {
+		t.Errorf("after Forget(7): HasFsCache(7) = %v, HasFsCache(8) = %v; want false, true", table.HasFsCache(7), table.HasFsCache(8))
+	}
+	table.Remove(m1, 8)
+	if table.HasFsCache(8) {
+		t.Error("HasFsCache(8) after its only connection was removed")
+	}
+	if _, c, isNew := table.Bind(m2, 7, mk); !isNew || c == a2 {
+		t.Error("bind after Forget reused the forgotten connection")
+	}
+	if !table.HasFsCache(7) {
+		t.Error("HasFsCache(7) false after a fresh fs_cache bind")
+	}
+}
+
 func TestConnectionTableNarrowsAndAttaches(t *testing.T) {
 	node := spring.NewNode("n")
 	defer node.Stop()

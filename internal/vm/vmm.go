@@ -573,11 +573,13 @@ func (fc *FileCache) fault(pn int64, want Rights) (p *page, retry bool, err erro
 	hinted := false
 	if ra > 0 || (ra == 0 && !want.CanWrite()) {
 		if hp, ok := spring.Narrow[HintedPager](fc.pager); ok {
-			maxPages := Offset(ra + 1)
+			// An explicit cluster is required, not offered: minSize ==
+			// maxSize, so the pager's stream detector cannot shrink it.
+			minSize, maxSize := Offset(ra+1)*PageSize, Offset(ra+1)*PageSize
 			if ra == 0 {
-				maxPages = adaptiveReadAheadPages
+				minSize, maxSize = PageSize, adaptiveReadAheadPages*PageSize
 			}
-			data, err = hp.PageInHint(pn*PageSize, PageSize, maxPages*PageSize, want)
+			data, err = hp.PageInHint(pn*PageSize, minSize, maxSize, want)
 			hinted = true
 		}
 	}
@@ -895,11 +897,13 @@ func (c *vmmCacheObject) Populate(offset, size Offset, access Rights, data []byt
 	fc.cond.Broadcast()
 }
 
-// DestroyCache implements CacheObject.
+// DestroyCache implements CacheObject: the pager retired the connection
+// (its backing file is gone). Every page is discarded, later faults fail
+// with ErrDestroyed, and the FileCache leaves the VMM's table. fc.mu and
+// v.mu are never held together.
 func (c *vmmCacheObject) DestroyCache() {
 	fc := c.fc()
 	fc.mu.Lock()
-	defer fc.mu.Unlock()
 	for pn, p := range fc.pages {
 		if p.state == pagePresent {
 			p.state = pageGone
@@ -911,6 +915,11 @@ func (c *vmmCacheObject) DestroyCache() {
 	fc.pages = make(map[int64]*page)
 	fc.destroyed = true
 	fc.cond.Broadcast()
+	fc.mu.Unlock()
+	v := fc.vmm
+	v.mu.Lock()
+	delete(v.caches, fc.id)
+	v.mu.Unlock()
 }
 
 // Mapping is a memory object mapped with some access rights. Reads and
